@@ -40,6 +40,7 @@ tests.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
@@ -595,15 +596,36 @@ def measure_search(directory):
     return benches, ratios, memory
 
 
+def _collected(measure, directory):
+    """Run one measurement phase on a collected, frozen heap.
+
+    The stores a phase drops are reference cycles (files and buckets
+    point at each other), so only a full collector pass frees them.
+    Collected here, that pass cannot land inside the next phase's
+    timed region, where one pass costs about as much as a 16-plan
+    bucket sweep; frozen, the surviving heap stays out of the passes
+    the phase's own allocations trigger.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        return measure(directory)
+    finally:
+        gc.unfreeze()
+
+
 def run(equivalence=True):
     directory = generate_directory(max(RECORDS, 200), seed=2006)
     clear_codec_cache()
     clear_automaton_cache()
     fidelity = check_equivalence(directory) if equivalence else None
-    codec_benches, codec_ratios = measure_codec(directory)
-    matcher_benches, matcher_ratios = measure_matchers(directory)
-    search_benches, search_ratios, memory = measure_search(directory)
-    scan_benches, scan_ratios, scan_memory = measure_scan(directory)
+    codec_benches, codec_ratios = _collected(measure_codec, directory)
+    matcher_benches, matcher_ratios = _collected(measure_matchers,
+                                                 directory)
+    search_benches, search_ratios, memory = _collected(measure_search,
+                                                       directory)
+    scan_benches, scan_ratios, scan_memory = _collected(measure_scan,
+                                                        directory)
     config = {"records": RECORDS, "repeats": REPEATS}
     codec = {
         "schema": "repro-perf-smoke/2",

@@ -26,7 +26,9 @@ counters reflect the whole deployment.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.core.chunking import query_series
 from repro.core.config import SchemeParameters
@@ -38,6 +40,7 @@ from repro.core.search import (
     IndexKeyCodec,
     MultiPlanScanMatcher,
     PlanScanMatcher,
+    SearchPlan,
     SiteHit,
 )
 from repro.crypto.keys import KeyHierarchy
@@ -49,6 +52,11 @@ from repro.obs.metrics import observe as metric_observe
 from repro.obs.trace import span as obs_span
 from repro.sdds.lhstar import DEFAULT_RETRY_POLICY, LHStarFile
 from repro.sdds.lhstar_rs import LHStarRSFile
+
+
+def _contains(pattern: str, text: str) -> bool:
+    """The plain verification test: the record text holds the pattern."""
+    return pattern in text
 
 
 @dataclass(frozen=True)
@@ -129,9 +137,9 @@ class _BatchHit:
     """One pattern's site hit inside a multiplexed scan reply.
 
     ``wire_size`` bills the underlying :class:`SiteHit` plus a 2-byte
-    pattern-demultiplexing tag — but only when the round actually
-    ships several patterns.  A single-pattern batch carries no tag,
-    so its accounting is byte-identical to :meth:`search`.
+    pattern-demultiplexing tag when ``tagged``.  The store multiplexes
+    only rounds of several patterns, so it always tags; one pattern
+    ships through a :class:`~repro.core.search.PlanScanMatcher`.
     """
 
     index: int
@@ -261,62 +269,39 @@ class EncryptedSearchableStore:
     def put(self, rid: int, text: str) -> None:
         """Store a record: strong copy + all its index streams."""
         with obs_span("ess.put", network=self.network, rid=rid):
-            content = self._to_content(text)
-            ciphertext = self._record_cipher.encrypt(
-                content, self._keys.record_nonce(rid)
-            )
-            self.record_file.insert(rid, ciphertext)
-            for (group, site), stream in (
-                self.pipeline.build_index_streams(content).items()
-            ):
-                self.index_file.insert(
-                    self.index_key(rid, group, site), stream
-                )
-            self._rids.add(rid)
+            self._store(rid, text)
 
-    def bulk_load(
-        self, records: dict[int, str], concurrency: int = 8
-    ) -> None:
-        """Load many records with concurrent batches.
+    def bulk_load(self, records: dict[int, str]) -> None:
+        """Load many records.
 
-        Client-side encryption and index building run up front; the
-        record-store and index inserts then enter the network in
-        large concurrent batches instead of one network round per
-        record — the practical way to populate a deployment.
+        Each record takes the same write step as :meth:`put`, one after
+        the other, so the file grows one split at a time and a
+        bulk-loaded file is exactly the file a put loop builds.  The
+        fused codec tables are built up front (a no-op for large chunk
+        domains), so the loop is pure table lookups from the first
+        record on.
         """
         with obs_span("ess.bulk_load", network=self.network,
-                      records=len(records), concurrency=concurrency):
-            self._bulk_load(records, concurrency)
+                      records=len(records)):
+            self.pipeline.warm()
+            for rid, text in records.items():
+                self._store(rid, text)
 
-    def _bulk_load(
-        self, records: dict[int, str], concurrency: int
-    ) -> None:
-        # Build the fused codec tables up front (a no-op for large
-        # chunk domains) so the per-record loop below is pure table
-        # lookups from the first record on.
-        self.pipeline.warm()
-        record_ops = []
-        index_ops = []
-        for rid, text in records.items():
-            content = self._to_content(text)
-            record_ops.append((
-                "insert",
-                rid,
-                self._record_cipher.encrypt(
-                    content, self._keys.record_nonce(rid)
-                ),
-            ))
-            for (group, site), stream in (
-                self.pipeline.build_index_streams(content).items()
-            ):
-                index_ops.append(
-                    ("insert", self.index_key(rid, group, site), stream)
-                )
-            self._rids.add(rid)
-        self.record_file.run_concurrent(record_ops,
-                                        concurrency=concurrency)
-        self.index_file.run_concurrent(index_ops,
-                                       concurrency=concurrency)
+    def _store(self, rid: int, text: str) -> None:
+        """The one write step: the record-file insert, then the index
+        stream inserts, on the store's own client."""
+        content = self._to_content(text)
+        self.record_file.insert(
+            rid,
+            self._record_cipher.encrypt(
+                content, self._keys.record_nonce(rid)
+            ),
+        )
+        for (group, site), stream in (
+            self.pipeline.build_index_streams(content).items()
+        ):
+            self.index_file.insert(self.index_key(rid, group, site), stream)
+        self._rids.add(rid)
 
     def get(self, rid: int) -> str | None:
         """Fetch and decrypt one record by RID."""
@@ -374,8 +359,29 @@ class EncryptedSearchableStore:
         """
         with obs_span("ess.search", network=self.network,
                       pattern=pattern) as span:
-            result = self._search(
-                pattern, verify, anchor_start, anchor_end
+            mark = self._mark()
+            plan = self._plan(pattern, anchor_end)
+            [aggregator] = self._scan_round([plan])
+            candidates = aggregator.candidates()
+            if anchor_start:
+                group, alignment, position = self._start_anchor(plan)
+                candidates = {
+                    rid
+                    for rid in candidates
+                    if position in aggregator.intersected_positions(
+                        rid, group, alignment
+                    )
+                }
+
+            def accepts(pattern: str, text: str) -> bool:
+                return (
+                    pattern in text
+                    and (not anchor_start or text.startswith(pattern))
+                    and (not anchor_end or text.endswith(pattern))
+                )
+
+            [result] = self._verified(
+                [(pattern, candidates)], mark, verify, accepts
             )
             self._finish_search_span(span, result)
             return result
@@ -402,82 +408,107 @@ class EncryptedSearchableStore:
         metric_observe("ess.search.false_positives",
                        len(result.false_positives))
 
-    def _search(
-        self,
-        pattern: str,
-        verify: bool,
-        anchor_start: bool,
-        anchor_end: bool,
-    ) -> SearchResult:
+    def _plan(self, pattern: str, anchor_end: bool = False) -> SearchPlan:
+        """The query plan of one pattern; ``anchor_end`` extends it
+        with zero symbols and relaxes the threshold (see
+        :meth:`search`)."""
         pattern_bytes = self._pattern_bytes(pattern)
-        if anchor_end:
-            pattern_bytes += bytes(
-                self.params.chunk_size * self.params.symbol_width
+        if not anchor_end:
+            return self.pipeline.plan_query(pattern_bytes)
+        pattern_bytes += bytes(
+            self.params.chunk_size * self.params.symbol_width
+        )
+        # The zero-extension only tiles one chunking exactly; the
+        # all-groups threshold would reject true matches.
+        return replace(self.pipeline.plan_query(pattern_bytes),
+                       required_groups=1)
+
+    def _mark(self) -> tuple[NetworkStats, float]:
+        """Where a query's cost and elapsed time start counting."""
+        return self.network.stats.snapshot(), self.network.now
+
+    def _scan_round(self, plans: list[SearchPlan]) -> list[HitAggregator]:
+        """One parallel scan round for ``plans``: one matcher shipped
+        to every index bucket, the hits aggregated per plan.
+
+        One plan ships as a :class:`PlanScanMatcher`: the multi-plan
+        form bills the same bytes for it but matches measurably
+        slower.  Several ship as one :class:`MultiPlanScanMatcher`
+        whose demux-tagged reports are routed back to their plan.
+        """
+        aggregators = [HitAggregator(plan) for plan in plans]
+        request_size = sum(plan.request_size() for plan in plans)
+        if len(plans) == 1:
+            matcher = PlanScanMatcher(
+                plans[0], self.key_codec,
+                batched=self.pipeline.fast_path,
+                automaton=self.automaton,
             )
-        plan = self.pipeline.plan_query(pattern_bytes)
-        if anchor_end:
-            # The zero-extension only tiles one chunking exactly; the
-            # all-groups threshold would reject true matches.
-            plan = replace(plan, required_groups=1)
-        before = self.network.stats.snapshot()
-        started = self.network.now
-        matcher = PlanScanMatcher(
-            plan, self.key_codec,
+            aggregators[0].add_all(
+                self.index_file.scan(matcher, request_size=request_size)
+            )
+            return aggregators
+        matcher = MultiPlanScanMatcher(
+            plans, self.key_codec, BatchHitReporter(tagged=True),
             batched=self.pipeline.fast_path,
             automaton=self.automaton,
         )
-        hits = self.index_file.scan(
-            matcher, request_size=plan.request_size()
-        )
+        for reports in self.index_file.scan(
+            matcher, request_size=request_size
+        ):
+            for report in reports:
+                aggregators[report.index].add(report.hit)
+        return aggregators
+
+    def _verified(
+        self,
+        queries: list[tuple[str, set[int]]],
+        mark: tuple[NetworkStats, float],
+        verify: bool,
+        accepts: Callable[[str, str], bool] = _contains,
+    ) -> list[SearchResult]:
+        """Verify each ``(pattern, candidates)`` query and price it.
+
+        With ``verify`` every candidate is fetched and decrypted once,
+        however many queries name it, and kept as a match when
+        ``accepts(pattern, text)``; without it the candidates are the
+        matches.  Every result carries the shared totals since
+        ``mark``: the scan round(s) that produced the candidates, then
+        this verification pass.
+        """
+        before, started = mark
         after_scan = self.network.stats.snapshot()
-        aggregator = HitAggregator(plan)
-        aggregator.add_all(hits)
-        candidates = aggregator.candidates()
-        if anchor_start:
-            group, alignment, position = self._start_anchor(plan)
-            candidates = {
-                rid
-                for rid in candidates
-                if position in aggregator.intersected_positions(
-                    rid, group, alignment
-                )
-            }
-
-        if verify:
-            matches = set()
-            for rid in candidates:
-                text = self.get(rid)
-                if text is None or pattern not in text:
-                    continue
-                if anchor_start and not text.startswith(pattern):
-                    continue
-                if anchor_end and not text.endswith(pattern):
-                    continue
-                matches.add(rid)
-        else:
-            matches = set(candidates)
-        return SearchResult(
-            pattern=pattern,
-            candidates=frozenset(candidates),
-            matches=frozenset(matches),
-            false_positives=frozenset(candidates - matches),
-            cost=self.network.stats.diff(before),
-            elapsed=self.network.now - started,
-            scan_cost=after_scan.diff(before),
-            verify_cost=self.network.stats.diff(after_scan),
-        )
-
-    def _batch_matcher(self, plans) -> MultiPlanScanMatcher:
-        """One scan matcher multiplexing several query plans; reports
-        are :class:`_BatchHit`\\ s, demux-tagged only when the round
-        actually ships several patterns."""
-        return MultiPlanScanMatcher(
-            plans,
-            self.key_codec,
-            BatchHitReporter(tagged=len(plans) > 1),
-            batched=self.pipeline.fast_path,
-            automaton=self.automaton,
-        )
+        texts: dict[int, str | None] = {}
+        outcomes = []
+        for pattern, candidates in queries:
+            if verify:
+                matches = set()
+                for rid in candidates:
+                    if rid not in texts:
+                        texts[rid] = self.get(rid)
+                    text = texts[rid]
+                    if text is not None and accepts(pattern, text):
+                        matches.add(rid)
+            else:
+                matches = set(candidates)
+            outcomes.append((pattern, candidates, matches))
+        cost = self.network.stats.diff(before)
+        scan_cost = after_scan.diff(before)
+        verify_cost = self.network.stats.diff(after_scan)
+        elapsed = self.network.now - started
+        return [
+            SearchResult(
+                pattern=pattern,
+                candidates=frozenset(candidates),
+                matches=frozenset(matches),
+                false_positives=frozenset(candidates - matches),
+                cost=cost,
+                elapsed=elapsed,
+                scan_cost=scan_cost,
+                verify_cost=verify_cost,
+            )
+            for pattern, candidates, matches in outcomes
+        ]
 
     def _start_anchor(self, plan) -> tuple[int, int, int]:
         """The (group, alignment, chunk position) pinning a record-start
@@ -519,53 +550,21 @@ class EncryptedSearchableStore:
         """
         with obs_span("ess.search_all", network=self.network,
                       patterns=list(patterns)) as span:
-            result = self._search_all(patterns, verify)
+            if not patterns:
+                raise ConfigurationError("need at least one pattern")
+            mark = self._mark()
+            aggregators = self._scan_round(
+                [self._plan(p) for p in patterns]
+            )
+            candidates = set.intersection(
+                *(aggregator.candidates() for aggregator in aggregators)
+            )
+            [result] = self._verified(
+                [(" AND ".join(patterns), candidates)], mark, verify,
+                lambda _, text: all(p in text for p in patterns),
+            )
             self._finish_search_span(span, result)
             return result
-
-    def _search_all(
-        self, patterns: list[str], verify: bool
-    ) -> SearchResult:
-        if not patterns:
-            raise ConfigurationError("need at least one pattern")
-        plans = [
-            self.pipeline.plan_query(self._pattern_bytes(p))
-            for p in patterns
-        ]
-        before = self.network.stats.snapshot()
-        started = self.network.now
-
-        raw = self.index_file.scan(
-            self._batch_matcher(plans),
-            request_size=sum(plan.request_size() for plan in plans),
-        )
-        after_scan = self.network.stats.snapshot()
-        aggregators = [HitAggregator(plan) for plan in plans]
-        for reports in raw:
-            for report in reports:
-                aggregators[report.index].add(report.hit)
-        candidates = set.intersection(
-            *(aggregator.candidates() for aggregator in aggregators)
-        )
-        if verify:
-            matches = {
-                rid
-                for rid in candidates
-                if (text := self.get(rid)) is not None
-                and all(p in text for p in patterns)
-            }
-        else:
-            matches = set(candidates)
-        return SearchResult(
-            pattern=" AND ".join(patterns),
-            candidates=frozenset(candidates),
-            matches=frozenset(matches),
-            false_positives=frozenset(candidates - matches),
-            cost=self.network.stats.diff(before),
-            elapsed=self.network.now - started,
-            scan_cost=after_scan.diff(before),
-            verify_cost=self.network.stats.diff(after_scan),
-        )
 
     def search_batch(
         self, patterns: list[str], verify: bool = True
@@ -587,76 +586,30 @@ class EncryptedSearchableStore:
         """
         with obs_span("ess.search_batch", network=self.network,
                       patterns=len(patterns)) as span:
-            results = self._search_batch(patterns, verify)
-            if results:
-                shared = next(iter(results.values()))
-                span.annotate(
-                    candidates=len(
-                        set().union(*(r.candidates
-                                      for r in results.values()))
-                    ),
-                    cost_messages=shared.cost.messages,
+            if not patterns:
+                raise ConfigurationError("need at least one pattern")
+            unique = list(dict.fromkeys(patterns))
+            mark = self._mark()
+            aggregators = self._scan_round([self._plan(p) for p in unique])
+            results = {
+                result.pattern: result
+                for result in self._verified(
+                    [
+                        (pattern, aggregator.candidates())
+                        for pattern, aggregator in zip(unique, aggregators)
+                    ],
+                    mark, verify,
                 )
-                metric_observe("ess.search.elapsed", shared.elapsed)
-            return results
-
-    def _search_batch(
-        self, patterns: list[str], verify: bool
-    ) -> dict[str, SearchResult]:
-        if not patterns:
-            raise ConfigurationError("need at least one pattern")
-        unique = list(dict.fromkeys(patterns))
-        plans = [
-            self.pipeline.plan_query(self._pattern_bytes(p))
-            for p in unique
-        ]
-        before = self.network.stats.snapshot()
-        started = self.network.now
-
-        raw = self.index_file.scan(
-            self._batch_matcher(plans),
-            request_size=sum(plan.request_size() for plan in plans),
-        )
-        after_scan = self.network.stats.snapshot()
-        aggregators = [HitAggregator(plan) for plan in plans]
-        for reports in raw:
-            for report in reports:
-                aggregators[report.index].add(report.hit)
-        outcomes: list[tuple[str, set[int], set[int]]] = []
-        text_cache: dict[int, str | None] = {}
-        for pattern, aggregator in zip(unique, aggregators):
-            candidates = aggregator.candidates()
-            if verify:
-                matches = set()
-                for rid in candidates:
-                    if rid not in text_cache:
-                        text_cache[rid] = self.get(rid)
-                    text = text_cache[rid]
-                    if text is not None and pattern in text:
-                        matches.add(rid)
-            else:
-                matches = set(candidates)
-            outcomes.append((pattern, candidates, matches))
-        # Snapshot once all shared work — scan round *and* candidate
-        # fetches — is done, so batch results account verification
-        # exactly like single-pattern search() does.
-        cost = self.network.stats.diff(before)
-        scan_cost = after_scan.diff(before)
-        verify_cost = self.network.stats.diff(after_scan)
-        elapsed = self.network.now - started
-        return {
-            pattern: SearchResult(
-                pattern=pattern,
-                candidates=frozenset(candidates),
-                matches=frozenset(matches),
-                false_positives=frozenset(candidates - matches),
-                cost=cost,
-                elapsed=elapsed,
-                scan_cost=scan_cost,
-                verify_cost=verify_cost,
+            }
+            shared = results[unique[0]]
+            span.annotate(
+                candidates=len(
+                    set().union(*(r.candidates for r in results.values()))
+                ),
+                cost_messages=shared.cost.messages,
             )
-            for pattern, candidates, matches in outcomes
-        }
+            metric_observe("ess.search.elapsed", shared.elapsed)
+            return results
 
     # -- key rotation -----------------------------------------------------------
 
@@ -677,30 +630,16 @@ class EncryptedSearchableStore:
         if not new_master:
             raise ConfigurationError("new master key must be non-empty")
         plaintexts = {rid: self.get(rid) for rid in sorted(self._rids)}
-        new_params = replace(self.params, master_key=new_master)
-        new_keys = KeyHierarchy(new_master)
-        new_cipher = CtrCipher(new_keys.record_store_key())
-        new_pipeline = IndexPipeline(
-            new_params, self.pipeline.encoder,
+        self.params = replace(self.params, master_key=new_master)
+        self._keys = KeyHierarchy(new_master)
+        self._record_cipher = CtrCipher(self._keys.record_store_key())
+        self.pipeline = IndexPipeline(
+            self.params, self.pipeline.encoder,
             fast_path=self.pipeline.fast_path,
         )
         for rid, text in plaintexts.items():
-            if text is None:
-                continue
-            content = self._to_content(text)
-            self.record_file.insert(
-                rid, new_cipher.encrypt(content, new_keys.record_nonce(rid))
-            )
-            for (group, site), stream in (
-                new_pipeline.build_index_streams(content).items()
-            ):
-                self.index_file.insert(
-                    self.index_key(rid, group, site), stream
-                )
-        self.params = new_params
-        self._keys = new_keys
-        self._record_cipher = new_cipher
-        self.pipeline = new_pipeline
+            if text is not None:
+                self._store(rid, text)
 
     def search_short(
         self,
@@ -719,56 +658,33 @@ class EncryptedSearchableStore:
         ``len(alphabet) + 1`` extended patterns (every alphabet
         extension plus the record-final case via the zero symbol),
         shipped in one batched scan round; the fan-out itself tells a
-        network observer the query was short.  Recursion extends
-        patterns more than one symbol short of the minimum.
+        network observer the query was short.  A pattern more than one
+        symbol short is extended by every tail of the missing length.
         """
         with obs_span("ess.search_short", network=self.network,
                       pattern=pattern) as span:
-            result = self._search_short(pattern, alphabet, verify)
+            deficit = self.params.min_query_length - len(pattern)
+            if deficit <= 0:
+                return self.search(pattern, verify=verify)
+            extensions = dict.fromkeys(
+                pattern + "".join(tail)
+                for tail in itertools.product(alphabet, repeat=deficit)
+            )
+            mark = self._mark()
+            candidates: set[int] = set()
+            for aggregator in self._scan_round(
+                [self._plan(extension) for extension in extensions]
+            ):
+                candidates |= aggregator.candidates()
+            # The record-final case: the short pattern followed only by
+            # the terminator/padding — covered by an end-anchored round.
+            [anchored] = self._scan_round(
+                [self._plan(pattern, anchor_end=True)]
+            )
+            candidates |= anchored.candidates()
+            [result] = self._verified([(pattern, candidates)], mark, verify)
             self._finish_search_span(span, result)
             return result
-
-    def _search_short(
-        self, pattern: str, alphabet: str, verify: bool
-    ) -> SearchResult:
-        deficit = self.params.min_query_length - len(pattern)
-        if deficit <= 0:
-            return self.search(pattern, verify=verify)
-        import itertools
-
-        extensions = [
-            pattern + "".join(tail)
-            for tail in itertools.product(alphabet, repeat=deficit)
-        ]
-        before = self.network.stats.snapshot()
-        started = self.network.now
-        batched = self.search_batch(extensions, verify=False)
-        candidates: set[int] = set()
-        for result in batched.values():
-            candidates |= result.candidates
-        # The record-final case: the short pattern followed only by
-        # the terminator/padding — covered by the end-anchored query.
-        anchored = self.search(pattern, anchor_end=True, verify=False)
-        candidates |= anchored.candidates
-        after_scan = self.network.stats.snapshot()
-        if verify:
-            matches = {
-                rid
-                for rid in candidates
-                if (text := self.get(rid)) is not None and pattern in text
-            }
-        else:
-            matches = set(candidates)
-        return SearchResult(
-            pattern=pattern,
-            candidates=frozenset(candidates),
-            matches=frozenset(matches),
-            false_positives=frozenset(candidates - matches),
-            cost=self.network.stats.diff(before),
-            elapsed=self.network.now - started,
-            scan_cost=after_scan.diff(before),
-            verify_cost=self.network.stats.diff(after_scan),
-        )
 
     # -- planning / introspection -------------------------------------------------
 

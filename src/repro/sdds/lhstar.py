@@ -58,6 +58,15 @@ DEFAULT_RETRY_POLICY = RetryPolicy()
 #: still be retransmitted, which the retry budget bounds tightly.
 DEDUP_CACHE_LIMIT = 4096
 
+#: Scan replies carry every hit, so their replay cache is bounded by
+#: what replay needs instead: a redelivered scan arrives while its
+#: scan is still outstanding, and a client keeps at most one scan
+#: outstanding (``LHStarFile.scan`` runs each to quiescence, retries
+#: and duplicates included).  Eight entries cover several clients
+#: scanning one bucket at once; an evicted request that still arrives
+#: is re-answered, and the client drops the repeat reply by address.
+SCAN_REPLY_CACHE_LIMIT = 8
+
 #: How many times one operation may exhaust a full retry budget and
 #: escalate a ``suspect`` to the coordinator before it gives up for
 #: good.  Bounds the total work of an operation against a bucket that
@@ -537,7 +546,7 @@ class LHStarBucket(Node):
             "forwarded": children,
         }
         self._scan_replies[request] = reply
-        while len(self._scan_replies) > DEDUP_CACHE_LIMIT:
+        while len(self._scan_replies) > SCAN_REPLY_CACHE_LIMIT:
             self._scan_replies.popitem(last=False)
         self.send(
             payload["client"],
@@ -1853,6 +1862,7 @@ class LHStarFile:
     ) -> list:
         """Issue many keyed operations concurrently, one network run.
 
+        A multi-client concurrency driver for tests and examples.
         ``operations`` are ``("insert", key, content)``,
         ``("lookup", key)`` or ``("delete", key)`` tuples.  They are
         spread round-robin over a pool of ``concurrency`` clients and
@@ -1861,6 +1871,12 @@ class LHStarFile:
         real multi-client SDDS faces.  Results return in operation
         order: None for inserts, content (or None) for lookups, bool
         for deletes.
+
+        It is not a loader: every insert past a bucket's capacity
+        sends its own ``overflow`` message and the coordinator splits
+        once per message, so a large insert batch leaves a file of
+        nearly empty buckets.  Load through sequential inserts (the
+        store's ``bulk_load`` does).
 
         Ordering between operations in the same batch is unspecified
         (they are concurrent); callers needing order run batches

@@ -35,17 +35,25 @@ def fresh_store():
 
 
 class TestEntryPointParity:
-    def test_single_vs_batch_total_cost(self):
-        """search(p) and search_batch([p]) do identical work and must
-        report identical totals — including verification."""
-        single = fresh_store().search("SCHWARZ")
-        batch = fresh_store().search_batch(["SCHWARZ"])["SCHWARZ"]
-        assert single.matches == batch.matches
-        assert single.cost.messages == batch.cost.messages
-        assert single.cost.bytes == batch.cost.bytes
-        assert single.scan_cost.bytes == batch.scan_cost.bytes
-        assert single.verify_cost.bytes == batch.verify_cost.bytes
-        assert single.elapsed == pytest.approx(batch.elapsed)
+    @pytest.mark.parametrize(
+        "pattern", ["SCHWARZ", "THOMAS", "TSUI P", "WITOLD", "QUIXOTE"]
+    )
+    def test_single_vs_batch_total_cost(self, pattern):
+        """search(p), search_batch([p])[p] and search_all([p]) do
+        identical work — one plan through the same scan round and
+        verification pass — so they agree on answers and on every cost
+        figure, verification included."""
+        results = [
+            fresh_store().search(pattern),
+            fresh_store().search_batch([pattern])[pattern],
+            fresh_store().search_all([pattern]),
+        ]
+        for result in results[1:]:
+            assert result.matches == results[0].matches
+            assert result.cost == results[0].cost
+            assert result.scan_cost == results[0].scan_cost
+            assert result.verify_cost == results[0].verify_cost
+            assert result.elapsed == results[0].elapsed
 
     def test_batch_cost_includes_verification(self):
         """The old bug: per-pattern batch results carried only the

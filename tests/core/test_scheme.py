@@ -242,3 +242,46 @@ def test_property_no_false_negatives(texts, data):
     # And recall holds for every record containing the pattern.
     expected = {r for r, t in enumerate(texts) if pattern in t}
     assert expected <= result.matches
+
+
+class TestBulkLoadShape:
+    """``bulk_load`` grows the file one split at a time, exactly as a
+    put loop does — not one split per overflow message."""
+
+    TEXTS = {
+        rid: f"415-409-{rid:04d} {name}"
+        for rid, name in enumerate(
+            ["SCHWARZ THOMAS", "LITWIN WITOLD", "TSUI PETER",
+             "ABOGADO ALEJANDRO", "ADAMSON MARK", "SCHWARZ ANNA",
+             "BERGER HANS", "SCHWARTZ NOT QUITE"] * 8
+        )
+    }
+    PATTERNS = ["SCHWARZ", "LITWIN", "PETER", "MARK", "409-00", "QUIXOTE"]
+
+    @pytest.fixture(scope="class")
+    def stores(self):
+        def empty():
+            return EncryptedSearchableStore(
+                SchemeParameters.full(4), bucket_capacity=8
+            )
+
+        loaded = empty()
+        loaded.bulk_load(self.TEXTS)
+        looped = empty()
+        for rid, text in self.TEXTS.items():
+            looped.put(rid, text)
+        return loaded, looped
+
+    @pytest.mark.parametrize("role", ["record_file", "index_file"])
+    def test_same_file_as_put_loop(self, stores, role):
+        loaded, looped = (getattr(store, role) for store in stores)
+        assert loaded.state == looped.state
+        assert loaded.bucket_count == looped.bucket_count
+        assert looped.bucket_count > 1
+
+    def test_same_answers_as_put_loop(self, stores):
+        loaded, looped = stores
+        assert len(loaded) == len(looped) == len(self.TEXTS)
+        for pattern in self.PATTERNS:
+            a, b = loaded.search(pattern), looped.search(pattern)
+            assert (a.candidates, a.matches) == (b.candidates, b.matches)

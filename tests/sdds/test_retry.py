@@ -16,6 +16,7 @@ from repro.net import (
     UnreliableNetwork,
 )
 from repro.sdds import LHStarFile
+from repro.sdds.lhstar import SCAN_REPLY_CACHE_LIMIT
 
 FAST = RetryPolicy(timeout=0.05, backoff=2.0, max_retries=8)
 
@@ -125,6 +126,20 @@ class TestScanRetry:
             file.insert(k, b"v\x00")
         hits = file.scan(self.matcher)
         assert sorted(hits) == list(range(60))
+
+    def test_scan_reply_cache_is_bounded(self):
+        """Replay only needs the scans still outstanding, so however
+        many scans a bucket has answered it keeps a bounded number of
+        replies — each of which holds every hit."""
+        file = faulty_file(seed=5, loss=0.05, dup=0.2)
+        for k in range(60):
+            file.insert(k, b"v\x00")
+        for _ in range(300):
+            assert sorted(file.scan(self.matcher)) == list(range(60))
+        assert file.network.stats.duplicated > 0
+        assert file.bucket_count > 1
+        for bucket in file.buckets.values():
+            assert len(bucket._scan_replies) <= SCAN_REPLY_CACHE_LIMIT
 
     def test_scan_budget_exhaustion_raises(self):
         file = faulty_file(
